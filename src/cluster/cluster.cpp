@@ -74,6 +74,21 @@ std::optional<Allocation> Cluster::find_allocation(const wf::Resources& req) con
   return find_allocation_if(req, [](NodeId) { return true; });
 }
 
+const Cluster::FreeIndex& Cluster::least_allocated() const {
+  if (by_free_.empty())
+    for (const auto& n : nodes_) by_free_.emplace(n.free_cores, n.id);
+  return by_free_;
+}
+
+void Cluster::set_free_cores(Node& n, double free_cores) {
+  if (!by_free_.empty() && free_cores != n.free_cores) {
+    auto entry = by_free_.extract({n.free_cores, n.id});
+    entry.value().first = free_cores;
+    by_free_.insert(std::move(entry));
+  }
+  n.free_cores = free_cores;
+}
+
 void Cluster::claim(const Allocation& alloc) {
   // Verify first so a failed claim leaves state untouched.
   for (const auto& c : alloc.claims) {
@@ -84,7 +99,7 @@ void Cluster::claim(const Allocation& alloc) {
   }
   for (const auto& c : alloc.claims) {
     Node& n = nodes_.at(c.node);
-    n.free_cores -= c.cores;
+    set_free_cores(n, n.free_cores - c.cores);
     n.free_gpus -= c.gpus;
     n.free_memory -= c.memory;
     ++n.running_jobs;
@@ -96,7 +111,7 @@ void Cluster::release(const Allocation& alloc) {
     Node& n = nodes_.at(c.node);
     if (!n.up) continue;  // capacity was already reset by set_node_down/up
     const auto& cls = spec_.classes[n.class_index];
-    n.free_cores = std::min(cls.cores, n.free_cores + c.cores);
+    set_free_cores(n, std::min(cls.cores, n.free_cores + c.cores));
     n.free_gpus = std::min(cls.gpus, n.free_gpus + c.gpus);
     n.free_memory = std::min(cls.memory, n.free_memory + c.memory);
     if (n.running_jobs) --n.running_jobs;
@@ -106,7 +121,7 @@ void Cluster::release(const Allocation& alloc) {
 void Cluster::set_node_down(NodeId id) {
   Node& n = nodes_.at(id);
   n.up = false;
-  n.free_cores = 0;
+  set_free_cores(n, 0);
   n.free_gpus = 0;
   n.free_memory = 0;
   n.running_jobs = 0;
@@ -116,7 +131,7 @@ void Cluster::set_node_up(NodeId id) {
   Node& n = nodes_.at(id);
   const auto& cls = spec_.classes[n.class_index];
   n.up = true;
-  n.free_cores = cls.cores;
+  set_free_cores(n, cls.cores);
   n.free_gpus = cls.gpus;
   n.free_memory = cls.memory;
   n.running_jobs = 0;

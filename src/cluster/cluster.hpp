@@ -3,10 +3,11 @@
 // Kubernetes clusters and the Ares HPC system (see DESIGN.md §2).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/units.hpp"
@@ -86,32 +87,30 @@ class Cluster {
   bool fits(NodeId node, const wf::Resources& req) const;
 
   /// Finds nodes for a multi-node request (each node must satisfy the
-  /// per-node figures). Prefers the given class order; returns nullopt when
-  /// not enough capacity. Does not modify state.
+  /// per-node figures), ranked as find_allocation_if ranks them; returns
+  /// nullopt when not enough capacity. Does not modify state.
   std::optional<Allocation> find_allocation(const wf::Resources& req) const;
 
   /// Finds an allocation restricted to nodes satisfying `pred`. Candidate
   /// nodes are ranked least-loaded-first (most free cores, ties by id) —
   /// the Kubernetes "LeastAllocated" scoring — so placement quality does
-  /// not depend on node enumeration order.
+  /// not depend on node enumeration order. The walk follows the free-core
+  /// index and stops at the first node with fewer free cores than the
+  /// request: every later node has no more, so none of them fits. A probe
+  /// therefore costs O(nodes visited), not O(all nodes).
   template <typename Pred>
   std::optional<Allocation> find_allocation_if(const wf::Resources& req,
                                                Pred&& pred) const {
-    std::vector<NodeId> candidates;
-    for (const auto& n : nodes_) {
-      if (!pred(n.id)) continue;
-      if (fits(n.id, req)) candidates.push_back(n.id);
-    }
-    if (candidates.size() < static_cast<std::size_t>(req.nodes)) return std::nullopt;
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [this](NodeId a, NodeId b) {
-                       return nodes_[a].free_cores > nodes_[b].free_cores;
-                     });
+    // A negative count wraps to a size no cluster has: never satisfiable.
+    const auto want = static_cast<std::size_t>(req.nodes);
     Allocation alloc;
-    for (int i = 0; i < req.nodes; ++i)
-      alloc.claims.push_back(NodeClaim{candidates[static_cast<std::size_t>(i)],
-                                       req.cores_per_node, req.gpus_per_node,
-                                       req.memory_per_node});
+    for (const auto& [free_cores, id] : least_allocated()) {
+      if (alloc.claims.size() == want || free_cores < req.cores_per_node) break;
+      if (fits(id, req) && pred(id))
+        alloc.claims.push_back(NodeClaim{id, req.cores_per_node, req.gpus_per_node,
+                                         req.memory_per_node});
+    }
+    if (alloc.claims.size() < want) return std::nullopt;
     return alloc;
   }
 
@@ -136,8 +135,26 @@ class Cluster {
   double node_io_bandwidth(NodeId id) const { return node_class(id).io_bandwidth; }
 
  private:
+  /// Index key: (free cores, node id), ordered most-free-first, then by id.
+  using FreeKey = std::pair<double, NodeId>;
+  struct LeastAllocatedFirst {
+    bool operator()(const FreeKey& a, const FreeKey& b) const noexcept {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    }
+  };
+  using FreeIndex = std::set<FreeKey, LeastAllocatedFirst>;
+
+  /// The index over every node (down nodes sit at the tail with 0 free
+  /// cores), built on first use so constructing a Cluster stays a flat fill.
+  const FreeIndex& least_allocated() const;
+  /// Sets a node's free cores, re-keying it in the index once that exists.
+  void set_free_cores(Node& n, double free_cores);
+
   ClusterSpec spec_;
   std::vector<Node> nodes_;
+  /// Empty until the first find_allocation*; mutable because that const call
+  /// builds it, so a Cluster must not be probed from two threads at once.
+  mutable FreeIndex by_free_;
 };
 
 /// Convenience single-class specs used across tests and benches.

@@ -23,7 +23,7 @@ const char* to_string(JobState s) noexcept {
 SimTime SchedulingContext::now() const { return rm_.sim_.now(); }
 const Cluster& SchedulingContext::cluster() const { return rm_.cluster_; }
 const std::vector<JobId>& SchedulingContext::queue() const { return rm_.queue_; }
-const JobRecord& SchedulingContext::job(JobId id) const { return rm_.jobs_.at(id); }
+const JobRecord& SchedulingContext::job(JobId id) const { return rm_.job(id); }
 std::vector<JobId> SchedulingContext::running() const { return rm_.running_; }
 
 bool SchedulingContext::try_place(JobId id) {
@@ -46,7 +46,41 @@ ResourceManager::ResourceManager(sim::Simulation& sim, Cluster& cluster,
 void ResourceManager::set_observer(obs::Observer* obs, std::string label) {
   obs_ = obs;
   obs_label_ = std::move(label);
+  ctr_submitted_ = ctr_started_ = ctr_completed_ = ctr_failed_ = ctr_killed_ =
+      ctr_sched_passes_ = ctr_sched_placed_ = {};
+  g_queue_depth_ = g_running_jobs_ = g_cores_busy_ = {};
+  h_queue_wait_ = h_job_runtime_ = h_sched_pass_us_ = nullptr;
   scheduler_->set_observer(obs);
+}
+
+obs::CounterRef& ResourceManager::counter(obs::CounterRef& ref, const char* name,
+                                          const std::string& label) {
+  if (!ref) ref = obs_->counter_ref(name, label);
+  return ref;
+}
+
+obs::GaugeRef& ResourceManager::gauge(obs::GaugeRef& ref, const char* name) {
+  if (!ref) ref = obs_->gauge_ref(name, obs_label_);
+  return ref;
+}
+
+obs::LogHistogram& ResourceManager::histogram(obs::LogHistogram*& h,
+                                              const char* name,
+                                              const std::string& label,
+                                              double lo) {
+  if (!h) h = &obs_->metrics().histogram(name, label, lo, 1e7, 4);
+  return *h;
+}
+
+void ResourceManager::record_load() {
+  obs_->gauge_set(sim_.now(), gauge(g_running_jobs_, "rm.running_jobs"),
+                  static_cast<double>(running_.size()));
+  obs_->gauge_set(sim_.now(), gauge(g_cores_busy_, "rm.cores_busy"),
+                  core_usage_.level());
+}
+
+JobRecord* ResourceManager::find_job(JobId id) {
+  return id >= 1 && id <= jobs_.size() ? &jobs_[id - 1] : nullptr;
 }
 
 JobId ResourceManager::submit(JobRequest request, CompletionCallback on_complete,
@@ -56,14 +90,14 @@ JobId ResourceManager::submit(JobRequest request, CompletionCallback on_complete
   rec.id = id;
   rec.request = std::move(request);
   rec.submit_time = sim_.now();
-  jobs_.emplace(id, std::move(rec));
+  jobs_.push_back(std::move(rec));
   if (on_complete) callbacks_.emplace(id, std::move(on_complete));
   if (on_start) start_callbacks_.emplace(id, std::move(on_start));
   queue_.push_back(id);
   if (obs_ && obs_->on()) {
-    obs_->count(sim_.now(), "rm.jobs_submitted", obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.queue_depth",
-                    static_cast<double>(queue_.size()), obs_label_);
+    obs_->count(sim_.now(), counter(ctr_submitted_, "rm.jobs_submitted", obs_label_));
+    obs_->gauge_set(sim_.now(), gauge(g_queue_depth_, "rm.queue_depth"),
+                    static_cast<double>(queue_.size()));
   }
   kick();
   return id;
@@ -73,7 +107,7 @@ bool ResourceManager::cancel(JobId id) {
   auto it = std::find(queue_.begin(), queue_.end(), id);
   if (it == queue_.end()) return false;
   queue_.erase(it);
-  complete(jobs_.at(id), JobState::Cancelled, "cancelled by client");
+  complete(jobs_[id - 1], JobState::Cancelled, "cancelled by client");
   return true;
 }
 
@@ -100,15 +134,18 @@ void ResourceManager::run_scheduler_pass() {
     const auto wall1 = std::chrono::steady_clock::now();
     const double us =
         std::chrono::duration<double, std::micro>(wall1 - wall0).count();
-    const std::string& strategy = scheduler_->name();
-    obs_->count(sim_.now(), "rm.sched_passes", strategy);
-    obs_->count(sim_.now(), "rm.sched_jobs_placed", strategy,
+    if (!ctr_sched_passes_) {
+      const std::string strategy = scheduler_->name();
+      counter(ctr_sched_passes_, "rm.sched_passes", strategy);
+      counter(ctr_sched_placed_, "rm.sched_jobs_placed", strategy);
+      histogram(h_sched_pass_us_, "rm.sched_pass_us", strategy, 1e-1);
+    }
+    obs_->count(sim_.now(), ctr_sched_passes_);
+    obs_->count(sim_.now(), ctr_sched_placed_,
                 static_cast<double>(before - queue_.size()));
-    obs_->metrics()
-        .histogram("rm.sched_pass_us", strategy, 1e-1, 1e7, 4)
-        .observe(us);
-    obs_->gauge_set(sim_.now(), "rm.queue_depth",
-                    static_cast<double>(queue_.size()), obs_label_);
+    h_sched_pass_us_->observe(us);
+    obs_->gauge_set(sim_.now(), gauge(g_queue_depth_, "rm.queue_depth"),
+                    static_cast<double>(queue_.size()));
   } else {
     scheduler_->schedule(ctx);
   }
@@ -116,13 +153,14 @@ void ResourceManager::run_scheduler_pass() {
 }
 
 bool ResourceManager::place(JobId id, const std::function<bool(NodeId)>& pred) {
-  auto qit = std::find(queue_.begin(), queue_.end(), id);
-  if (qit == queue_.end()) return false;
-  JobRecord& rec = jobs_.at(id);
-  auto alloc = cluster_.find_allocation_if(rec.request.resources, pred);
+  // A job is in queue_ exactly while it is Queued: place, cancel and kill
+  // take it out of both together.
+  JobRecord* rec = find_job(id);
+  if (!rec || rec->state != JobState::Queued) return false;
+  auto alloc = cluster_.find_allocation_if(rec->request.resources, pred);
   if (!alloc) return false;
-  queue_.erase(qit);
-  start_job(rec, std::move(*alloc));
+  queue_.erase(std::find(queue_.begin(), queue_.end(), id));
+  start_job(*rec, std::move(*alloc));
   return true;
 }
 
@@ -148,13 +186,10 @@ void ResourceManager::start_job(JobRecord& rec, Allocation alloc) {
   running_.push_back(rec.id);
   core_usage_.change(sim_.now(), rec.request.resources.total_cores());
   if (obs_ && obs_->on()) {
-    obs_->count(sim_.now(), "rm.jobs_started", obs_label_);
-    obs_->metrics()
-        .histogram("rm.queue_wait_s", obs_label_, 1e-3, 1e7, 4)
+    obs_->count(sim_.now(), counter(ctr_started_, "rm.jobs_started", obs_label_));
+    histogram(h_queue_wait_, "rm.queue_wait_s", obs_label_, 1e-3)
         .observe(sim_.now() - rec.submit_time);
-    obs_->gauge_set(sim_.now(), "rm.running_jobs",
-                    static_cast<double>(running_.size()), obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.cores_busy", core_usage_.level(), obs_label_);
+    record_load();
   }
   const JobId id = rec.id;
   completion_events_[id] =
@@ -167,7 +202,7 @@ void ResourceManager::start_job(JobRecord& rec, Allocation alloc) {
 }
 
 void ResourceManager::finish_job(JobId id) {
-  JobRecord& rec = jobs_.at(id);
+  JobRecord& rec = jobs_[id - 1];
   if (rec.state != JobState::Running) return;
   cluster_.release(rec.allocation);
   core_usage_.change(sim_.now(), -rec.request.resources.total_cores());
@@ -175,20 +210,17 @@ void ResourceManager::finish_job(JobId id) {
   completion_events_.erase(id);
   ++completed_;
   if (obs_ && obs_->on()) {
-    obs_->count(sim_.now(), "rm.jobs_completed", obs_label_);
-    obs_->metrics()
-        .histogram("rm.job_runtime_s", obs_label_, 1e-3, 1e7, 4)
+    obs_->count(sim_.now(), counter(ctr_completed_, "rm.jobs_completed", obs_label_));
+    histogram(h_job_runtime_, "rm.job_runtime_s", obs_label_, 1e-3)
         .observe(sim_.now() - rec.start_time);
-    obs_->gauge_set(sim_.now(), "rm.running_jobs",
-                    static_cast<double>(running_.size()), obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.cores_busy", core_usage_.level(), obs_label_);
+    record_load();
   }
   complete(rec, JobState::Completed, {});
   kick();
 }
 
 void ResourceManager::fail_running_job(JobId id, const std::string& reason) {
-  JobRecord& rec = jobs_.at(id);
+  JobRecord& rec = jobs_[id - 1];
   if (rec.state != JobState::Running) return;
   // Release claims on still-up nodes; the down node already zeroed itself.
   cluster_.release(rec.allocation);
@@ -200,18 +232,16 @@ void ResourceManager::fail_running_job(JobId id, const std::string& reason) {
   }
   ++failed_;
   if (obs_ && obs_->on()) {
-    obs_->count(sim_.now(), "rm.jobs_failed", obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.running_jobs",
-                    static_cast<double>(running_.size()), obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.cores_busy", core_usage_.level(), obs_label_);
+    obs_->count(sim_.now(), counter(ctr_failed_, "rm.jobs_failed", obs_label_));
+    record_load();
   }
   complete(rec, JobState::Failed, reason);
 }
 
 bool ResourceManager::kill(JobId id, const std::string& reason) {
-  auto jit = jobs_.find(id);
-  if (jit == jobs_.end()) return false;
-  JobRecord& rec = jit->second;
+  JobRecord* found = find_job(id);
+  if (!found) return false;
+  JobRecord& rec = *found;
   if (rec.state == JobState::Queued) {
     queue_.erase(std::find(queue_.begin(), queue_.end(), id));
     complete(rec, JobState::Cancelled, reason);
@@ -227,10 +257,8 @@ bool ResourceManager::kill(JobId id, const std::string& reason) {
   }
   ++killed_;
   if (obs_ && obs_->on()) {
-    obs_->count(sim_.now(), "rm.jobs_killed", obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.running_jobs",
-                    static_cast<double>(running_.size()), obs_label_);
-    obs_->gauge_set(sim_.now(), "rm.cores_busy", core_usage_.level(), obs_label_);
+    obs_->count(sim_.now(), counter(ctr_killed_, "rm.jobs_killed", obs_label_));
+    record_load();
   }
   complete(rec, JobState::Cancelled, reason);
   kick();
@@ -256,7 +284,7 @@ void ResourceManager::fail_node(NodeId node, SimTime repair_after,
   // Collect victims before mutating.
   std::vector<JobId> victims;
   for (JobId id : running_) {
-    const JobRecord& rec = jobs_.at(id);
+    const JobRecord& rec = jobs_[id - 1];
     for (const auto& c : rec.allocation.claims)
       if (c.node == node) {
         victims.push_back(id);

@@ -6,6 +6,7 @@
 // exactly the paper's architecture (CWS runs *inside* the resource manager).
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
 #include "support/stats.hpp"
 #include "workflow/workflow.hpp"
@@ -134,7 +136,7 @@ class ResourceManager {
   /// completion nor a failure. Returns false when the job is already done.
   bool kill(JobId id, const std::string& reason = "killed by client");
 
-  const JobRecord& job(JobId id) const { return jobs_.at(id); }
+  const JobRecord& job(JobId id) const { return jobs_.at(id - 1); }
   std::size_t queued_count() const noexcept { return queue_.size(); }
   std::size_t running_count() const noexcept { return running_.size(); }
 
@@ -168,6 +170,7 @@ class ResourceManager {
  private:
   friend class SchedulingContext;
 
+  JobRecord* find_job(JobId id);
   bool place(JobId id, const std::function<bool(NodeId)>& pred);
   void start_job(JobRecord& rec, Allocation alloc);
   void finish_job(JobId id);
@@ -175,13 +178,21 @@ class ResourceManager {
   void complete(JobRecord& rec, JobState final_state, const std::string& reason);
   SimTime compute_duration(const JobRecord& rec) const;
   void run_scheduler_pass();
+  obs::CounterRef& counter(obs::CounterRef& ref, const char* name,
+                           const std::string& label);
+  obs::GaugeRef& gauge(obs::GaugeRef& ref, const char* name);
+  obs::LogHistogram& histogram(obs::LogHistogram*& h, const char* name,
+                               const std::string& label, double lo);
+  void record_load();  ///< rm.running_jobs + rm.cores_busy gauges.
 
   sim::Simulation& sim_;
   Cluster& cluster_;
   std::unique_ptr<Scheduler> scheduler_;
   ResourceManagerConfig config_;
 
-  std::map<JobId, JobRecord> jobs_;
+  /// Every job ever submitted, at index id - 1 (ids are dense from 1). A
+  /// deque keeps references valid while callbacks submit further jobs.
+  std::deque<JobRecord> jobs_;
   std::map<JobId, CompletionCallback> callbacks_;
   std::map<JobId, StartCallback> start_callbacks_;
   std::vector<JobId> queue_;            ///< Submission order.
@@ -196,6 +207,17 @@ class ResourceManager {
   LevelTracker core_usage_;
   obs::Observer* obs_ = nullptr;
   std::string obs_label_;
+  // Hot-path metric handles, each resolved on its first record (so nothing
+  // the manager never recorded shows up in snapshots or exports) and dropped
+  // by set_observer. Counters and gauges record through the Observer's
+  // handle overloads, so an attached metric tap sees every record; the
+  // histograms are raw, as the by-name lookups they replace were.
+  obs::CounterRef ctr_submitted_, ctr_started_, ctr_completed_, ctr_failed_,
+      ctr_killed_, ctr_sched_passes_, ctr_sched_placed_;
+  obs::GaugeRef g_queue_depth_, g_running_jobs_, g_cores_busy_;
+  obs::LogHistogram* h_queue_wait_ = nullptr;
+  obs::LogHistogram* h_job_runtime_ = nullptr;
+  obs::LogHistogram* h_sched_pass_us_ = nullptr;
 };
 
 }  // namespace hhc::cluster

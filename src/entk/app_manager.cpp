@@ -122,7 +122,7 @@ void AppManager::pump_scheduler() {
   if (scheduler_busy_ || submitted_.empty()) return;
   scheduler_busy_ = true;
   const std::size_t index = submitted_.front();
-  submitted_.erase(submitted_.begin());
+  submitted_.pop_front();
   sim_.schedule_in(1.0 / config_.scheduling_rate, [this, index] {
     TaskRecord& rec = records_[index];
     rec.state = TaskState::Scheduled;
@@ -338,7 +338,7 @@ void AppManager::enqueue_resubmit(std::size_t record_index) {
   rec.submit_time = sim_.now();
   // Resubmissions go to the head of the queue so original stage order is
   // preserved (paper §4.2).
-  submitted_.insert(submitted_.begin(), record_index);
+  submitted_.push_front(record_index);
   obs_->count(sim_.now(), "entk.resubmissions");
   obs_->instant(sim_.now(), "task", rec.name, "resubmitted",
                 stage_spans_[rec.pipeline]);

@@ -11,6 +11,7 @@
 // Resource accounting produces the utilization figure (90 % total).
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -188,8 +189,8 @@ class AppManager {
 
   std::vector<TaskRecord> records_;
   std::vector<const TaskDesc*> record_desc_;
-  std::vector<std::size_t> submitted_;  ///< Record indices awaiting scheduling.
-  std::vector<std::size_t> scheduled_;  ///< Record indices awaiting launch.
+  std::deque<std::size_t> submitted_;   ///< Record indices awaiting scheduling.
+  std::deque<std::size_t> scheduled_;   ///< Record indices awaiting launch.
   std::map<std::size_t, LiveTask> executing_;  ///< By record index.
   std::vector<std::size_t> deferred_;   ///< Record indices left for the next job.
   std::vector<cluster::NodeId> cursed_; ///< Undetected-failure nodes.

@@ -79,7 +79,7 @@ void ReplicaCache::evict_one() {
   drop(victim->first, /*count_as_eviction=*/true);
 }
 
-void ReplicaCache::drop(const DatasetId& id, bool count_as_eviction) {
+void ReplicaCache::drop(DatasetId id, bool count_as_eviction) {
   auto it = entries_.find(id);
   used_ -= it->second.size;
   entries_.erase(it);

@@ -69,7 +69,8 @@ class ReplicaCache {
   };
 
   void evict_one();
-  void drop(const DatasetId& id, bool count_as_eviction);
+  /// Takes the id by value: callers pass the key of the entry it erases.
+  void drop(DatasetId id, bool count_as_eviction);
 
   std::string location_;
   CacheConfig config_;

@@ -90,8 +90,9 @@ EventHandle Simulation::schedule_weak_at(SimTime t, std::function<void()> fn) {
   return schedule_impl(t, std::move(fn), /*weak=*/true);
 }
 
-bool Simulation::pop_next(Event& out) {
+bool Simulation::pop_next(Event& out, SimTime bound) {
   while (!queue_.empty()) {
+    if (queue_.top().time > bound) return false;
     // priority_queue::top is const; move is safe because we pop immediately.
     out = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
@@ -153,17 +154,14 @@ std::size_t Simulation::run_until(SimTime t_end) {
 #endif
   stop_requested_ = false;
   std::size_t n = 0;
-  while (!stop_requested_ && !queue_.empty()) {
-    if (queue_.top().time > t_end) break;
-    Event ev;
-    if (!pop_next(ev)) break;
+  Event ev;
+  while (!stop_requested_ && pop_next(ev, t_end)) {
     now_ = ev.time;
     ev.fn();
     ++fired_;
     ++n;
   }
-  if (now_ < t_end && queue_.empty()) now_ = t_end;
-  if (now_ < t_end && !queue_.empty() && queue_.top().time > t_end) now_ = t_end;
+  if (now_ < t_end && (queue_.empty() || queue_.top().time > t_end)) now_ = t_end;
   return n;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -105,7 +106,10 @@ class Simulation {
   };
 
   EventHandle schedule_impl(SimTime t, std::function<void()> fn, bool weak);
-  bool pop_next(Event& out);
+  /// Pops the next live event due at or before `bound`, discarding
+  /// cancelled (and orphaned weak) heads on the way. False when none is due.
+  bool pop_next(Event& out,
+                SimTime bound = std::numeric_limits<SimTime>::infinity());
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   SimTime now_ = 0.0;

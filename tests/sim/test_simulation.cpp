@@ -110,6 +110,21 @@ TEST(Simulation, RunUntilIncludesBoundaryEvents) {
   EXPECT_TRUE(fired);
 }
 
+TEST(Simulation, RunUntilDoesNotFirePastEndBehindCancelledHead) {
+  Simulation sim;
+  bool fired = false;
+  EventHandle h = sim.schedule_at(1.0, [] {});
+  sim.schedule_at(5.0, [&] { fired = true; });
+  h.cancel();
+  EXPECT_EQ(sim.run_until(3.0), 0u);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.now(), 3.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), 5.0);
+}
+
 TEST(Simulation, RunUntilAdvancesClockWhenIdle) {
   Simulation sim;
   sim.run_until(100);
