@@ -4,7 +4,9 @@
 // ordering, determinism, clean release of resources.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "core/toolkit.hpp"
 #include "cws/strategies.hpp"
@@ -323,15 +325,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngDistributions,
 // Sweep 6: generated workflows are valid DAGs for any shape and seed.
 // ---------------------------------------------------------------------------
 
+// gtest prints this param as its raw bytes, and ctest bakes that dump into the
+// test name. A fixed buffer keeps those bytes the same on every build; a
+// std::string would put its heap pointer into the name.
 struct ShapeSeed {
-  std::string shape;
-  std::uint64_t seed;
+  std::array<char, 32> shape{};
+  std::uint64_t seed = 0;
 };
 
 class GeneratorProperties : public ::testing::TestWithParam<ShapeSeed> {};
 
 TEST_P(GeneratorProperties, StructurallySound) {
-  const wf::Workflow w = make_shape(GetParam().shape, GetParam().seed);
+  const wf::Workflow w = make_shape(GetParam().shape.data(), GetParam().seed);
   ASSERT_NO_THROW(w.validate());
   // Ranks decrease along every edge; levels increase.
   const auto rank = wf::upward_rank(w);
@@ -353,15 +358,20 @@ std::vector<ShapeSeed> generator_cases() {
   std::vector<ShapeSeed> cases;
   for (const char* shape :
        {"chain", "forkjoin", "scattergather", "montage", "lanes", "random"})
-    for (std::uint64_t seed = 0; seed < 5; ++seed) cases.push_back({shape, seed});
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+      ShapeSeed c;
+      std::strncpy(c.shape.data(), shape, c.shape.size() - 1);
+      c.seed = seed;
+      cases.push_back(c);
+    }
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapesAndSeeds, GeneratorProperties,
                          ::testing::ValuesIn(generator_cases()),
                          [](const auto& param_info) {
-                           return param_info.param.shape + "_" +
-                                  std::to_string(param_info.param.seed);
+                           return std::string(param_info.param.shape.data()) +
+                                  "_" + std::to_string(param_info.param.seed);
                          });
 
 }  // namespace
