@@ -145,7 +145,9 @@ RecoveryPoint run_recovery(const wf::Workflow& w, double crash_at,
   Harness after = make_harness();
   core::CompositeReport second;
   if (latest) {
-    second = after.toolkit->resume(w, *latest, *after.broker);
+    core::RunOptions resume;
+    resume.resume_from = &*latest;
+    second = after.toolkit->run(w, *after.broker, resume);
     point.closure_error =
         obs::forensics::critical_path(after.toolkit->ledger()).closure_error();
   } else {

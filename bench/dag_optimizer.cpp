@@ -212,8 +212,10 @@ ScenarioResult run_scenario(const Scenario& sc) {
 
   // Optimized pass: constituent-aware execution through the rewrite log.
   auto tk2 = make_toolkit(sc.name);
+  core::RunOptions rewrites;
+  rewrites.rewrites = &opt.log;
   res.after.report =
-      tk2->run(opt.workflow, opt.log.map_per_task(sc.assignment), opt.log);
+      tk2->run(opt.workflow, opt.log.map_per_task(sc.assignment), rewrites);
   if (!res.after.report.success)
     throw std::runtime_error(sc.name + " optimized failed: " +
                              res.after.report.error);
@@ -278,7 +280,9 @@ bool optimizer_off_identical(const Scenario& sc) {
   off.enabled = false;
   const wf::opt::OptimizeResult res = wf::opt::optimize(sc.workflow, model, off);
   auto logged = make_toolkit(sc.name);
-  (void)logged->run(res.workflow, res.log.map_per_task(sc.assignment), res.log);
+  core::RunOptions rewrites;
+  rewrites.rewrites = &res.log;
+  (void)logged->run(res.workflow, res.log.map_per_task(sc.assignment), rewrites);
 
   const bool same =
       plain->provenance().csv() == logged->provenance().csv() &&

@@ -95,19 +95,36 @@ federation::SiteDescriptor Toolkit::describe_environment(
   return site;
 }
 
-CompositeReport Toolkit::run(const wf::Workflow& workflow, EnvironmentId env) {
-  return run(workflow,
-             std::vector<EnvironmentId>(workflow.task_count(), env));
+CompositeReport Toolkit::run(const wf::Workflow& workflow, EnvironmentId env,
+                             const RunOptions& options) {
+  return run(workflow, std::vector<EnvironmentId>(workflow.task_count(), env),
+             options);
 }
 
 CompositeReport Toolkit::run(const wf::Workflow& workflow,
-                             const std::vector<EnvironmentId>& assignment) {
-  workflow.validate();
-  if (assignment.size() != workflow.task_count())
-    throw std::invalid_argument("assignment size != task count");
-  for (EnvironmentId e : assignment)
-    if (e >= envs_.size()) throw std::out_of_range("bad environment id");
-  return run_impl(workflow, &assignment, nullptr);
+                             const std::vector<EnvironmentId>& assignment,
+                             const RunOptions& options) {
+  return run_sync(open_run(workflow, &assignment, nullptr, options));
+}
+
+CompositeReport Toolkit::run(const wf::Workflow& workflow,
+                             federation::Broker& broker,
+                             const RunOptions& options) {
+  return run_sync(open_run(workflow, nullptr, &broker, options));
+}
+
+std::uint64_t Toolkit::start_run(const wf::Workflow& workflow,
+                                 federation::Broker& broker,
+                                 const RunOptions& options,
+                                 std::function<void(const CompositeReport&)> done) {
+  RunState& state = open_run(workflow, nullptr, &broker, options);
+  state.async = true;
+  state.done = std::move(done);
+  if (workflow.empty())
+    settle_async(state);  // remaining == 0: delivers a success report
+  else
+    launch_frontier(state);
+  return state.id;
 }
 
 void Toolkit::bind_broker(federation::Broker& broker) {
@@ -125,98 +142,33 @@ void Toolkit::bind_broker(federation::Broker& broker) {
   broker.set_observer(&obs_);
 }
 
-CompositeReport Toolkit::run(const wf::Workflow& workflow,
-                             federation::Broker& broker) {
+Toolkit::RunState& Toolkit::open_run(const wf::Workflow& workflow,
+                                     const std::vector<EnvironmentId>* assignment,
+                                     federation::Broker* broker,
+                                     const RunOptions& options) {
   workflow.validate();
-  bind_broker(broker);
-  return run_impl(workflow, nullptr, &broker);
-}
-
-CompositeReport Toolkit::run(const wf::Workflow& workflow,
-                             federation::Broker& broker,
-                             const RunOptions& options) {
-  workflow.validate();
-  if (options.resume_from) options.resume_from->validate_for(workflow);
-  bind_broker(broker);
-  return run_impl(workflow, nullptr, &broker, nullptr, &options);
-}
-
-CompositeReport Toolkit::run(const wf::Workflow& workflow,
-                             const std::vector<EnvironmentId>& assignment,
-                             const RunOptions& options) {
-  workflow.validate();
-  if (options.resume_from) options.resume_from->validate_for(workflow);
-  if (assignment.size() != workflow.task_count())
-    throw std::invalid_argument("assignment size != task count");
-  for (EnvironmentId e : assignment)
-    if (e >= envs_.size()) throw std::out_of_range("bad environment id");
-  return run_impl(workflow, &assignment, nullptr, nullptr, &options);
-}
-
-CompositeReport Toolkit::resume(const wf::Workflow& workflow,
-                                const resilience::RunCheckpoint& checkpoint,
-                                federation::Broker& broker) {
-  RunOptions options;
-  options.resume_from = &checkpoint;
-  return run(workflow, broker, options);
-}
-
-CompositeReport Toolkit::resume(const wf::Workflow& workflow,
-                                const resilience::RunCheckpoint& checkpoint,
-                                const std::vector<EnvironmentId>& assignment) {
-  RunOptions options;
-  options.resume_from = &checkpoint;
-  return run(workflow, assignment, options);
-}
-
-namespace {
-void check_rewrites(const wf::Workflow& workflow,
-                    const wf::opt::RewriteLog& rewrites) {
-  if (rewrites.optimized_task_count() != workflow.task_count())
+  const std::size_t n = workflow.task_count();
+  if (assignment) {
+    if (assignment->size() != n)
+      throw std::invalid_argument("assignment size != task count");
+    for (EnvironmentId e : *assignment)
+      if (e >= envs_.size()) throw std::out_of_range("bad environment id");
+  }
+  if (options.rewrites && options.rewrites->optimized_task_count() != n)
     throw std::invalid_argument(
         "rewrite log does not describe this workflow (" +
-        std::to_string(rewrites.optimized_task_count()) + " tasks vs " +
-        std::to_string(workflow.task_count()) + ")");
-}
-}  // namespace
+        std::to_string(options.rewrites->optimized_task_count()) +
+        " tasks vs " + std::to_string(n) + ")");
+  if (options.resume_from) options.resume_from->validate_for(workflow);
+  if (broker) bind_broker(*broker);
 
-CompositeReport Toolkit::run(const wf::Workflow& workflow, EnvironmentId env,
-                             const wf::opt::RewriteLog& rewrites) {
-  return run(workflow, std::vector<EnvironmentId>(workflow.task_count(), env),
-             rewrites);
-}
-
-CompositeReport Toolkit::run(const wf::Workflow& workflow,
-                             const std::vector<EnvironmentId>& assignment,
-                             const wf::opt::RewriteLog& rewrites) {
-  workflow.validate();
-  check_rewrites(workflow, rewrites);
-  if (assignment.size() != workflow.task_count())
-    throw std::invalid_argument("assignment size != task count");
-  for (EnvironmentId e : assignment)
-    if (e >= envs_.size()) throw std::out_of_range("bad environment id");
-  return run_impl(workflow, &assignment, nullptr, &rewrites);
-}
-
-CompositeReport Toolkit::run(const wf::Workflow& workflow,
-                             federation::Broker& broker,
-                             const wf::opt::RewriteLog& rewrites) {
-  workflow.validate();
-  check_rewrites(workflow, rewrites);
-  bind_broker(broker);
-  return run_impl(workflow, nullptr, &broker, &rewrites);
-}
-
-Toolkit::RunState& Toolkit::make_run_state(
-    const wf::Workflow& workflow, const std::vector<EnvironmentId>* assignment,
-    federation::Broker* broker) {
   runs_.push_back(std::make_unique<RunState>());
   RunState& state = *runs_.back();
   state.id = next_run_id_++;
   state.workflow = &workflow;
   state.assignment = assignment;
   state.broker = broker;
-  const std::size_t n = workflow.task_count();
+  state.rewrites = options.rewrites;
   state.placement.assign(n, kInvalidEnvironment);
   state.site_of.assign(n, federation::kInvalidSite);
   state.retries.assign(n, 0);
@@ -242,6 +194,24 @@ Toolkit::RunState& Toolkit::make_run_state(
   state.env_tasks_run.assign(envs_.size(), 0);
   state.env_busy_core_seconds.assign(envs_.size(), 0.0);
   state.start = sim_.now();
+  state.ckpt_policy = options.checkpoints;
+  state.on_checkpoint = options.on_checkpoint;
+  if (options.resume_from) state.resume_from = *options.resume_from;
+  if (options.trace.active()) {
+    state.trace = options.trace;
+    state.trace.run = state.id;
+  }
+  if (workflow.empty()) return state;
+
+  // Register the workflow so environment schedulers (cws-rank, cws-heft,
+  // cws-datalocality, ...) see graph context for the tasks we submit.
+  state.wf_id = registry_.register_workflow(workflow);
+  if (broker) broker->begin_run(workflow, state.wf_id);
+  if (obs_.on()) {
+    state.workflow_span = obs_.begin_span(state.start, "workflow", workflow.name());
+    obs_.span_attr(state.workflow_span, "tasks", static_cast<std::int64_t>(n));
+    stamp_trace(state, state.workflow_span);
+  }
   return state;
 }
 
@@ -260,32 +230,18 @@ void Toolkit::build_env_reports(RunState& state) {
   }
 }
 
-CompositeReport Toolkit::run_impl(const wf::Workflow& workflow,
-                                  const std::vector<EnvironmentId>* assignment,
-                                  federation::Broker* broker,
-                                  const wf::opt::RewriteLog* rewrites,
-                                  const RunOptions* options) {
+CompositeReport Toolkit::run_sync(RunState& state) {
   HHC_PROF_SCOPE("toolkit.run");
-  RunState& state = make_run_state(workflow, assignment, broker);
-  state.rewrites = rewrites;
+  const wf::Workflow& workflow = *state.workflow;
+  federation::Broker* broker = state.broker;
   state.record_forensics = config_.forensics.enabled;
-  if (options) {
-    state.ckpt_policy = options->checkpoints;
-    state.on_checkpoint = options->on_checkpoint;
-    if (options->resume_from) state.resume_from = *options->resume_from;
-    if (options->trace.active()) {
-      state.trace = options->trace;
-      state.trace.run = state.id;
-    }
-  }
-  const SimTime start = state.start;
   // Fresh fabric state per run: caches first (they unwind their catalog
   // replicas), then any replicas registered outside a cache.
   for (auto& cache : caches_) cache->clear();
   catalog_.clear();
 
   if (config_.forensics.enabled)
-    ledger_.begin_run(start, workflow.name(), workflow.task_count());
+    ledger_.begin_run(state.start, workflow.name(), workflow.task_count());
   else
     ledger_.clear();
   // Federated runs with advisory holddowns on get the monitor's alerts
@@ -295,27 +251,8 @@ CompositeReport Toolkit::run_impl(const wf::Workflow& workflow,
     monitor_.set_sink(
         [this, broker](const obs::Alert& a) { broker->advise(a, sim_.now()); });
 
-  if (workflow.empty()) {
-    state.report.success = true;
-    state.report.metrics = obs_.snapshot();
-    if (config_.forensics.enabled) ledger_.end_run(sim_.now(), true);
-    if (advisory) monitor_.set_sink(nullptr);
-    const CompositeReport report = state.report;
-    runs_.pop_back();  // nothing could have captured the state
-    return report;
-  }
-
-  // Register the workflow so environment schedulers (cws-rank, cws-heft,
-  // cws-datalocality, ...) see graph context for the tasks we submit.
-  state.wf_id = registry_.register_workflow(workflow);
-  if (broker) broker->begin_run(workflow, state.wf_id);
-
-  if (obs_.on()) {
-    state.workflow_span = obs_.begin_span(start, "workflow", workflow.name());
-    obs_.span_attr(state.workflow_span, "tasks",
-                   static_cast<std::int64_t>(workflow.task_count()));
-    stamp_trace(state, state.workflow_span);
-    if (config_.sample_period > 0) {
+  if (!workflow.empty()) {
+    if (obs_.on() && config_.sample_period > 0) {
       for (auto& env : envs_) {
         const cluster::Cluster* cl = env.cluster.get();
         obs_.sample(sim_, "util." + env.name, config_.sample_period, [cl] {
@@ -324,16 +261,11 @@ CompositeReport Toolkit::run_impl(const wf::Workflow& workflow,
         });
       }
     }
+    arm_chaos();
+    launch_frontier(state);
+    sim_.run();
   }
-
-  arm_chaos();
-
-  launch_frontier(state);
-  sim_.run();
-  if (broker) broker->end_run(state.wf_id);
   if (advisory) monitor_.set_sink(nullptr);
-
-  registry_.unregister_workflow(state.wf_id);
 
   if (state.remaining != 0 && !state.failed) {
     // The event queue drained with tasks still pending: under chaos this is
@@ -346,11 +278,7 @@ CompositeReport Toolkit::run_impl(const wf::Workflow& workflow,
     finish_run_observation(state);
   }
 
-  state.report.success = !state.failed;
-  state.report.error = state.error;
-  state.report.makespan = sim_.now() - start;
-  if (config_.forensics.enabled)
-    ledger_.end_run(sim_.now(), state.report.success);
+  if (config_.forensics.enabled) ledger_.end_run(sim_.now(), !state.failed);
   if (obs_.on()) {
     for (fabric::Link* link : topology_.links())
       obs_.gauge_set(sim_.now(), "fabric.link_utilization",
@@ -359,56 +287,14 @@ CompositeReport Toolkit::run_impl(const wf::Workflow& workflow,
       obs_.gauge_set(sim_.now(), "fabric.cache_hit_ratio",
                      caches_[e]->hit_ratio(), env_location(e));
     obs::record_kernel_metrics(obs_, sim_);
-    state.report.metrics = obs_.snapshot();
   }
-  build_env_reports(state);
-  state.settled = true;
+  close_run(state);
   const CompositeReport report = state.report;
   // A clean run left nothing that could reference its state (the queue
   // drained, every job settled); reclaim it. Failed/deadlocked runs keep
   // theirs — parked callbacks in the resource managers still point at it.
   if (state.remaining == 0 && runs_.back().get() == &state) runs_.pop_back();
   return report;
-}
-
-std::uint64_t Toolkit::start_run(const wf::Workflow& workflow,
-                                 federation::Broker& broker,
-                                 std::function<void(const CompositeReport&)> done) {
-  return start_run(workflow, broker, RunOptions{}, std::move(done));
-}
-
-std::uint64_t Toolkit::start_run(const wf::Workflow& workflow,
-                                 federation::Broker& broker,
-                                 const RunOptions& options,
-                                 std::function<void(const CompositeReport&)> done) {
-  workflow.validate();
-  if (options.resume_from) options.resume_from->validate_for(workflow);
-  bind_broker(broker);
-  RunState& state = make_run_state(workflow, nullptr, &broker);
-  state.async = true;
-  state.done = std::move(done);
-  state.ckpt_policy = options.checkpoints;
-  state.on_checkpoint = options.on_checkpoint;
-  if (options.resume_from) state.resume_from = *options.resume_from;
-  if (options.trace.active()) {
-    state.trace = options.trace;
-    state.trace.run = state.id;
-  }
-  if (workflow.empty()) {
-    settle_async(state);  // remaining == 0: delivers a success report
-    return state.id;
-  }
-  state.wf_id = registry_.register_workflow(workflow);
-  broker.begin_run(workflow, state.wf_id);
-  if (obs_.on()) {
-    state.workflow_span =
-        obs_.begin_span(state.start, "workflow", workflow.name());
-    obs_.span_attr(state.workflow_span, "tasks",
-                   static_cast<std::int64_t>(workflow.task_count()));
-    stamp_trace(state, state.workflow_span);
-  }
-  launch_frontier(state);
-  return state.id;
 }
 
 void Toolkit::settle_async(RunState& state) {
@@ -420,11 +306,11 @@ void Toolkit::settle_async(RunState& state) {
     state.settle_pending = false;
     if (state.settled) return;
     if (!state.failed && state.remaining != 0) return;  // recovery revived it
-    finalize_async(state);
+    close_run(state);
   });
 }
 
-void Toolkit::finalize_async(RunState& state) {
+void Toolkit::close_run(RunState& state) {
   state.settled = true;
   if (state.wf_id >= 0) {
     if (state.broker) state.broker->end_run(state.wf_id);
@@ -452,7 +338,7 @@ std::size_t Toolkit::fail_unsettled_runs() {
                     " task(s) pending with no runnable events";
       finish_run_observation(state);
     }
-    finalize_async(state);
+    close_run(state);
     ++settled;
   }
   return settled;
@@ -537,8 +423,7 @@ void Toolkit::seed_from_checkpoint(RunState& state) {
                static_cast<double>(seeded));
 }
 
-resilience::RunCheckpoint Toolkit::build_checkpoint(
-    const RunState& state) const {
+resilience::RunCheckpoint Toolkit::record_checkpoint(RunState& state) {
   const wf::Workflow& workflow = *state.workflow;
   const std::size_t n = workflow.task_count();
   resilience::RunCheckpoint ckpt;
@@ -582,16 +467,16 @@ resilience::RunCheckpoint Toolkit::build_checkpoint(
   ckpt.ledger_high_water = ledger_.size();
   for (double busy : state.env_busy_core_seconds)
     ckpt.busy_core_seconds += busy;
+  state.ckpt_seq = ckpt.sequence;
+  state.completions_since_ckpt = 0;
+  ++state.report.checkpoints_taken;
+  if (obs_.on()) obs_.count(sim_.now(), "durable.checkpoints");
   return ckpt;
 }
 
 void Toolkit::take_checkpoint(RunState& state) {
   if (state.settled || state.failed || state.remaining == 0) return;
-  const resilience::RunCheckpoint ckpt = build_checkpoint(state);
-  state.ckpt_seq = ckpt.sequence;
-  state.completions_since_ckpt = 0;
-  ++state.report.checkpoints_taken;
-  if (obs_.on()) obs_.count(sim_.now(), "durable.checkpoints");
+  const resilience::RunCheckpoint ckpt = record_checkpoint(state);
   if (state.on_checkpoint) state.on_checkpoint(ckpt);
 }
 
@@ -634,12 +519,7 @@ resilience::RunCheckpoint Toolkit::checkpoint_run(std::uint64_t run_id) {
                                 std::to_string(run_id));
   if (state->settled)
     throw std::logic_error("checkpoint_run: run already settled");
-  resilience::RunCheckpoint ckpt = build_checkpoint(*state);
-  state->ckpt_seq = ckpt.sequence;
-  state->completions_since_ckpt = 0;
-  ++state->report.checkpoints_taken;
-  if (obs_.on()) obs_.count(sim_.now(), "durable.checkpoints");
-  return ckpt;
+  return record_checkpoint(*state);
 }
 
 CompositeReport Toolkit::abort_run(std::uint64_t run_id,
@@ -680,18 +560,10 @@ CompositeReport Toolkit::abort_run(std::uint64_t run_id,
       envs_[state.hedge_env[t]].rm->kill(state.hedge_job_of[t], reason);
     state.hedge_job_of[t] = 0;
   }
-  if (state.wf_id >= 0) {
-    if (state.broker) state.broker->end_run(state.wf_id);
-    registry_.unregister_workflow(state.wf_id);
-    state.wf_id = -1;
-  }
   if (obs_.on()) obs_.count(sim_.now(), "durable.runs_aborted");
   finish_run_observation(state);
-  state.report.success = false;
-  state.report.error = state.error;
-  state.report.makespan = sim_.now() - state.start;
-  if (obs_.on()) state.report.metrics = obs_.snapshot();
-  build_env_reports(state);
+  close_run(state);
+  state.wf_id = -1;  // stragglers must not reach a reused registry id
   return state.report;
 }
 

@@ -88,7 +88,7 @@ struct CompositeReport {
   std::size_t hedges_won = 0;
   std::size_t recovery_recomputed_tasks = 0;
   double wasted_core_seconds = 0.0;
-  /// DAG-optimizer accounting (run overloads taking a wf::opt::RewriteLog).
+  /// DAG-optimizer accounting (runs with RunOptions::rewrites set).
   /// `fused_tasks_run` counts winning completions of multi-constituent
   /// (fused/clustered) tasks; `constituents_completed` the original tasks
   /// credited through them — each gets its own provenance record.
@@ -158,11 +158,26 @@ struct ToolkitConfig {
   ForensicsConfig forensics;
 };
 
-/// Durability options for one run (DESIGN.md §15). Defaults preserve
-/// pre-durability behaviour exactly: no checkpoints, nothing resumed.
+/// Everything optional about one run; the placement is the only required
+/// argument of Toolkit::run/start_run. Defaults preserve plain-run behaviour
+/// exactly: no rewrite log, no checkpoints, nothing resumed, no trace.
 struct RunOptions {
-  /// When to snapshot the run. Interval triggers use a weak self-
-  /// rescheduling timer, so checkpointing never extends the makespan.
+  /// The wf::opt RewriteLog of a DAG the optimizer rewrote (DESIGN.md §14).
+  /// Fused/clustered tasks keep per-constituent semantics through
+  /// execution: one provenance record per original task (intervals split
+  /// across the fused attempt, predictor observations per constituent
+  /// kind), failures blamed on the constituent that was running (named in
+  /// the report error and the forensics ledger detail), and the optimizer
+  /// accounting fields of CompositeReport filled in. Retry, hedging, chaos
+  /// and lineage recovery operate on the optimized DAG unchanged. Must
+  /// describe the workflow (optimized_task_count() == task_count()); an
+  /// identity log is byte-identical to none. Not copied: the pointee must
+  /// outlive the run.
+  const wf::opt::RewriteLog* rewrites = nullptr;
+  /// Durability (DESIGN.md §15): when to snapshot the run. Interval
+  /// triggers use a weak self-rescheduling timer, so checkpointing never
+  /// extends the makespan. Passive: a policy without faults changes
+  /// nothing about the run.
   resilience::CheckpointPolicy checkpoints;
   /// Sink invoked (synchronously, inside the simulation) with each
   /// checkpoint taken. The WorkflowService journals these.
@@ -208,82 +223,53 @@ class Toolkit {
   std::size_t environment_count() const noexcept { return envs_.size(); }
   const std::string& environment_name(EnvironmentId id) const;
 
-  /// Runs a workflow with every task on one environment.
-  CompositeReport run(const wf::Workflow& workflow, EnvironmentId env);
-
-  /// Optimizer-aware overloads: run a DAG the wf::opt pipeline rewrote,
-  /// carrying its RewriteLog so fused/clustered tasks keep per-constituent
-  /// semantics through execution — one provenance record per original task
-  /// (intervals split across the fused attempt, predictor observations per
-  /// constituent kind), failures blamed on the constituent that was running
-  /// (named in the report error and the forensics ledger detail), and the
-  /// optimizer accounting fields of CompositeReport filled in. Retry,
-  /// hedging, chaos and lineage recovery all operate on the optimized DAG
-  /// unchanged. The log must describe `workflow` (optimized_task_count()
-  /// == task_count()). An identity log leaves behaviour byte-identical to
-  /// the plain overloads.
+  /// Runs a workflow to completion on the toolkit's own event loop. The
+  /// placement is the only required argument and has three forms; every
+  /// other knob lives in RunOptions (rewrite log, checkpoints and their
+  /// sink, resume point, trace context). The inputs are validated up front:
+  /// the workflow, the assignment (size and environment ids), the rewrite
+  /// log and the resume checkpoint against this workflow, the broker's
+  /// sites. The report carries per-environment usage, failure/retry
+  /// counts, makespan and the metrics snapshot; the forensics ledger()
+  /// holds the run's attempts.
+  ///
+  /// Every task on one environment.
   CompositeReport run(const wf::Workflow& workflow, EnvironmentId env,
-                      const wf::opt::RewriteLog& rewrites);
+                      const RunOptions& options = {});
+
+  /// A per-task assignment (size = task_count). Cross-environment edges pay
+  /// the WAN transfer before the consumer becomes ready. This is the
+  /// static-pin path, preserved byte-identically for experiments that
+  /// hand-tune placements.
   CompositeReport run(const wf::Workflow& workflow,
                       const std::vector<EnvironmentId>& assignment,
-                      const wf::opt::RewriteLog& rewrites);
+                      const RunOptions& options = {});
+
+  /// Placement delegated to a federation broker: each task is brokered to a
+  /// site as it becomes ready (capability matching + the broker's policy),
+  /// failed tasks are re-brokered with hysteresis up to the broker's retry
+  /// budget, and reroute/failure counts land in the report. The broker's
+  /// sites must reference this Toolkit's environments; fabric, predictor,
+  /// observer, and site locations are bound automatically. This is the
+  /// default placement path for composite runs — reach for the assignment
+  /// form only to pin by hand.
   CompositeReport run(const wf::Workflow& workflow, federation::Broker& broker,
-                      const wf::opt::RewriteLog& rewrites);
-
-  /// Runs a workflow with a per-task assignment (size = task_count).
-  /// Cross-environment edges pay the WAN transfer before the consumer
-  /// becomes ready. This is the static-pin path, preserved byte-identically
-  /// for experiments that hand-tune placements.
-  CompositeReport run(const wf::Workflow& workflow,
-                      const std::vector<EnvironmentId>& assignment);
-
-  /// Runs a workflow with placement delegated to a federation broker: each
-  /// task is brokered to a site as it becomes ready (capability matching +
-  /// the broker's policy), failed tasks are re-brokered with hysteresis up
-  /// to the broker's retry budget, and reroute/failure counts land in the
-  /// report. The broker's sites must reference this Toolkit's environments;
-  /// fabric, predictor, observer, and site locations are bound
-  /// automatically. This is the default placement path for composite runs —
-  /// reach for the assignment overload only to pin by hand.
-  CompositeReport run(const wf::Workflow& workflow, federation::Broker& broker);
-
-  /// Durability-aware overloads: run with a checkpoint policy and/or resume
-  /// from a snapshot (RunOptions). Checkpointing is passive — a run with a
-  /// policy but no faults is behaviourally identical to one without.
-  CompositeReport run(const wf::Workflow& workflow, federation::Broker& broker,
-                      const RunOptions& options);
-  CompositeReport run(const wf::Workflow& workflow,
-                      const std::vector<EnvironmentId>& assignment,
-                      const RunOptions& options);
-
-  /// Resumes a checkpointed workflow: completed tasks and their published
-  /// replicas are seeded, retry budgets restored, and only the surviving
-  /// frontier re-executes. Synchronous, with full forensics — resumed runs'
-  /// blame closure still tiles the (post-resume) makespan. The checkpoint is
-  /// validated against `workflow` (task count + predecessor closure).
-  CompositeReport resume(const wf::Workflow& workflow,
-                         const resilience::RunCheckpoint& checkpoint,
-                         federation::Broker& broker);
-  CompositeReport resume(const wf::Workflow& workflow,
-                         const resilience::RunCheckpoint& checkpoint,
-                         const std::vector<EnvironmentId>& assignment);
+                      const RunOptions& options = {});
 
   /// Starts a federated run WITHOUT driving the simulation — the caller owns
-  /// the event loop (schedules arrivals, then calls simulation().run()). Any
-  /// number of runs may be in flight at once; they share the broker's sites,
-  /// the fabric and the WAN, so each run's backlog is exactly the contention
-  /// the others' placement policies see. `done` fires once, from inside the
-  /// simulation, when the run settles (every task done, or terminal failure);
-  /// its report carries per-run environment usage, failure counts and
-  /// makespan, tagged to this run only. `workflow` must stay alive until
-  /// `done` fires. Global observation planes that assume one run at a time —
-  /// utilization samplers, chaos arming, the forensics ledger — stay with the
-  /// synchronous run() overloads and are not engaged here (the service layer
-  /// arms chaos itself via arm_chaos()). Returns the run's id, the handle
-  /// checkpoint_run()/abort_run() take.
-  std::uint64_t start_run(const wf::Workflow& workflow,
-                          federation::Broker& broker,
-                          std::function<void(const CompositeReport&)> done);
+  /// the event loop (schedules arrivals, then calls simulation().run()). It
+  /// shares run()'s validation, setup and settlement, so the same workflow
+  /// and options yield the same schedule either way. Any number of runs may
+  /// be in flight at once; they share the broker's sites, the fabric and the
+  /// WAN, so each run's backlog is exactly the contention the others'
+  /// placement policies see. `done` fires once, from inside the simulation,
+  /// when the run settles (every task done, or terminal failure); its report
+  /// carries per-run environment usage, failure counts and makespan, tagged
+  /// to this run only. `workflow` must stay alive until `done` fires. Global
+  /// observation planes that assume one run at a time — utilization
+  /// samplers, chaos arming, the forensics ledger — stay with run() and are
+  /// not engaged here (the service layer arms chaos itself via arm_chaos()).
+  /// Returns the run's id, the handle checkpoint_run()/abort_run() take.
   std::uint64_t start_run(const wf::Workflow& workflow,
                           federation::Broker& broker, const RunOptions& options,
                           std::function<void(const CompositeReport&)> done);
@@ -477,11 +463,17 @@ class Toolkit {
   /// cache, and a WAN link to every existing environment (full mesh).
   void join_fabric(EnvironmentId id);
 
-  CompositeReport run_impl(const wf::Workflow& workflow,
-                           const std::vector<EnvironmentId>* assignment,
-                           federation::Broker* broker,
-                           const wf::opt::RewriteLog* rewrites = nullptr,
-                           const RunOptions* options = nullptr);
+  /// The launch step every entry point shares: validates the inputs,
+  /// allocates the RunState (kept alive in runs_ — outstanding callbacks and
+  /// watchdog events capture it by reference), copies the options into it,
+  /// and — for a non-empty workflow — registers it, begins the broker run
+  /// and opens the workflow span. Nothing is dispatched yet.
+  RunState& open_run(const wf::Workflow& workflow,
+                     const std::vector<EnvironmentId>* assignment,
+                     federation::Broker* broker, const RunOptions& options);
+  /// Drives an opened run on the toolkit's own event loop (fabric reset,
+  /// ledger, advisory sink, samplers, chaos), then settles it.
+  CompositeReport run_sync(RunState& state);
 
   RunState* find_run(std::uint64_t run_id) noexcept;
   /// Dispatches the run's initial frontier: sources for a fresh run, or —
@@ -492,9 +484,10 @@ class Toolkit {
   /// Seeds completed tasks, placements, retry budgets and producer replicas
   /// from state.resume_from (already validated against the workflow).
   void seed_from_checkpoint(RunState& state);
-  /// Snapshots the run's current durable state (pure read; no counters).
-  resilience::RunCheckpoint build_checkpoint(const RunState& state) const;
-  /// build_checkpoint + sequence/report accounting + the RunOptions sink.
+  /// Snapshots the run's current durable state and books it: sequence,
+  /// progress marker, report count and metric. Does not call the sink.
+  resilience::RunCheckpoint record_checkpoint(RunState& state);
+  /// Policy-driven snapshot: record_checkpoint + the RunOptions sink.
   void take_checkpoint(RunState& state);
   /// Completion-driven triggers (EveryNCompletions / FrontierStability);
   /// called on every winning completion while a policy is enabled.
@@ -513,20 +506,17 @@ class Toolkit {
                                  const cluster::JobRecord& rec,
                                  const Environment& env);
 
-  /// Allocates a RunState (kept alive in runs_ — outstanding callbacks and
-  /// watchdog events capture it by reference) and sizes its per-task and
-  /// per-environment vectors.
-  RunState& make_run_state(const wf::Workflow& workflow,
-                           const std::vector<EnvironmentId>* assignment,
-                           federation::Broker* broker);
-  /// Checks + binds a broker the way the synchronous overload does (site
-  /// environments, locations, fabric, predictor, observer).
+  /// Checks + binds a broker (site environments, locations, fabric,
+  /// predictor, observer).
   void bind_broker(federation::Broker& broker);
   /// Schedules an async run's settlement one event later (so synchronous
   /// hedge-loser kills and cancellations account first), then delivers.
   void settle_async(RunState& state);
-  /// Assembles the final report for an async run and fires done().
-  void finalize_async(RunState& state);
+  /// The settle step every run ends in (sync return, async delivery,
+  /// abort): marks it settled, releases the broker run and registry id,
+  /// fills success/error/makespan/metrics/environments, and fires done()
+  /// when one is set.
+  void close_run(RunState& state);
   /// Fills report.environments/utilization from the run's own accounting.
   void build_env_reports(RunState& state);
 

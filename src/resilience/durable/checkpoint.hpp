@@ -7,8 +7,9 @@
 // accumulated by `taken_at` — the completed task set, where each winner ran,
 // per-task retry budgets already spent (including backoff RNG positions, so
 // a resumed task continues the *same* decorrelated-jitter sequence), and the
-// producer-side replicas published into the data catalog — so
-// `Toolkit::resume()` re-executes only the surviving frontier.
+// producer-side replicas published into the data catalog — so a Toolkit
+// run given it as `RunOptions::resume_from` re-executes only the surviving
+// frontier.
 //
 // What is checkpointed vs recomputed (DESIGN.md §15):
 //   * journaled  — completed set, winner placement, retry draws, pinned

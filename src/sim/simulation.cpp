@@ -112,56 +112,45 @@ bool Simulation::pop_next(Event& out, SimTime bound) {
 }
 
 std::size_t Simulation::run(std::size_t max_events) {
-  CurrentSimScope scope(&now_);
-  HHC_PROF_SCOPE("sim.run");
-  stop_requested_ = false;
-  std::size_t n = 0;
-  Event ev;
-#if HHC_PROFILING
-  const ProfTallyScope tally(*this);
-  if (tally.on()) {
-    // Profiled loop: identical control flow, plus a sampled dispatch scope.
-    static const obs::prof::RegionId rid =
-        obs::prof::intern("sim.dispatch.sampled");
-    while (n < max_events && !stop_requested_ && pop_next(ev)) {
-      now_ = ev.time;
-      if ((fired_ & (kDispatchStride - 1)) == 0) {
-        const obs::prof::Scope s(rid);
-        ev.fn();
-      } else {
-        ev.fn();
-      }
-      ++fired_;
-      ++n;
-    }
-    return n;
-  }
-#endif
-  while (n < max_events && !stop_requested_ && pop_next(ev)) {
-    now_ = ev.time;
-    ev.fn();
-    ++fired_;
-    ++n;
-  }
-  return n;
+  return run_loop(max_events, std::numeric_limits<SimTime>::infinity());
 }
 
 std::size_t Simulation::run_until(SimTime t_end) {
+  const std::size_t n = run_loop(SIZE_MAX, t_end);
+  if (now_ < t_end && (queue_.empty() || queue_.top().time > t_end)) now_ = t_end;
+  return n;
+}
+
+std::size_t Simulation::run_loop(std::size_t max_events, SimTime bound) {
   CurrentSimScope scope(&now_);
   HHC_PROF_SCOPE("sim.run");
 #if HHC_PROFILING
   const ProfTallyScope tally(*this);
+  const bool sampled = tally.on();
+  prof::RegionId rid = prof::kNoRegion;
+  if (sampled) {
+    static const prof::RegionId dispatch = prof::intern("sim.dispatch.sampled");
+    rid = dispatch;
+  }
 #endif
   stop_requested_ = false;
   std::size_t n = 0;
   Event ev;
-  while (!stop_requested_ && pop_next(ev, t_end)) {
+  while (n < max_events && !stop_requested_ && pop_next(ev, bound)) {
     now_ = ev.time;
+#if HHC_PROFILING
+    if (sampled && (fired_ & (kDispatchStride - 1)) == 0) {
+      const prof::Scope s(rid);
+      ev.fn();
+    } else {
+      ev.fn();
+    }
+#else
     ev.fn();
+#endif
     ++fired_;
     ++n;
   }
-  if (now_ < t_end && (queue_.empty() || queue_.top().time > t_end)) now_ = t_end;
   return n;
 }
 

@@ -106,6 +106,10 @@ class Simulation {
   };
 
   EventHandle schedule_impl(SimTime t, std::function<void()> fn, bool weak);
+  /// The one event loop behind run()/run_until(): fires up to `max_events`
+  /// live events due at or before `bound`. With the profiler on, every
+  /// kDispatchStride-th dispatch is timed under "sim.dispatch.sampled".
+  std::size_t run_loop(std::size_t max_events, SimTime bound);
   /// Pops the next live event due at or before `bound`, discarding
   /// cancelled (and orphaned weak) heads on the way. False when none is due.
   bool pop_next(Event& out,

@@ -186,8 +186,9 @@ TEST(DurableToolkit, CrashThenResumeReExecutesOnlyTheFrontier) {
 
   // Resume on a FRESH toolkit — the restarted process after the crash.
   Harness after = make_harness();
-  const CompositeReport resumed =
-      after.toolkit->resume(w, *latest, *after.broker);
+  RunOptions resume;
+  resume.resume_from = &*latest;
+  const CompositeReport resumed = after.toolkit->run(w, *after.broker, resume);
   ASSERT_TRUE(resumed.success) << resumed.error;
   EXPECT_EQ(resumed.resumed_tasks, seeded);
   // Only the remainder executed: every environment's task tally sums to the
@@ -250,7 +251,9 @@ TEST(DurableToolkit, ResumedConsumersPayTransfersWithoutPhantomCacheHits) {
   EXPECT_EQ(ck.replicas[0].producer, p);
 
   auto resumed_tk = make_tk();
-  const CompositeReport resumed = resumed_tk->resume(w, ck, assignment);
+  RunOptions resume;
+  resume.resume_from = &ck;
+  const CompositeReport resumed = resumed_tk->run(w, assignment, resume);
   ASSERT_TRUE(resumed.success) << resumed.error;
   EXPECT_EQ(resumed.resumed_tasks, 1u);
   // The remainder of the run, replayed: one real WAN copy from the pinned
@@ -273,7 +276,9 @@ TEST(DurableToolkit, ResumeOfACompleteCheckpointSettlesInstantly) {
   ck.backoff_draws.assign(w.task_count(), 0);
   ck.backoff_prev.assign(w.task_count(), 0.0);
 
-  const CompositeReport r = h.toolkit->resume(w, ck, *h.broker);
+  RunOptions resume;
+  resume.resume_from = &ck;
+  const CompositeReport r = h.toolkit->run(w, *h.broker, resume);
   EXPECT_TRUE(r.success) << r.error;
   EXPECT_EQ(r.resumed_tasks, w.task_count());
   EXPECT_DOUBLE_EQ(r.makespan, 0.0);
@@ -290,7 +295,9 @@ TEST(DurableToolkit, ResumeRejectsACheckpointForADifferentDag) {
   ck.retries.assign(3, 0);
   ck.backoff_draws.assign(3, 0);
   ck.backoff_prev.assign(3, 0.0);
-  EXPECT_THROW(h.toolkit->resume(w, ck, *h.broker), std::invalid_argument);
+  RunOptions resume;
+  resume.resume_from = &ck;
+  EXPECT_THROW(h.toolkit->run(w, *h.broker, resume), std::invalid_argument);
 }
 
 TEST(DurableToolkit, ExplicitCheckpointAndAbortGuardRails) {
@@ -302,7 +309,7 @@ TEST(DurableToolkit, ExplicitCheckpointAndAbortGuardRails) {
 
   std::optional<CompositeReport> report;
   const std::uint64_t id = h.toolkit->start_run(
-      w, *h.broker, [&](const CompositeReport& r) { report = r; });
+      w, *h.broker, {}, [&](const CompositeReport& r) { report = r; });
 
   // On-demand snapshot mid-run (what brownout suspension uses): no sink, no
   // policy — just the current closed prefix.
@@ -327,7 +334,7 @@ TEST(DurableToolkit, AbortBooksPartialWorkAsWaste) {
   Harness h = make_harness();
   const wf::Workflow w = make_data_chain(6, 40.0);
   const std::uint64_t id = h.toolkit->start_run(
-      w, *h.broker, [](const CompositeReport&) {});
+      w, *h.broker, {}, [](const CompositeReport&) {});
   std::optional<CompositeReport> partial;
   h.toolkit->simulation().schedule_at(100.0, [&] {
     partial = h.toolkit->abort_run(id, "service crash");

@@ -40,6 +40,12 @@ wf::opt::OptimizeResult fuse_chain(const wf::Workflow& w) {
   return res;
 }
 
+RunOptions with_log(const wf::opt::RewriteLog& log) {
+  RunOptions options;
+  options.rewrites = &log;
+  return options;
+}
+
 TEST(OptToolkit, IdentityLogIsByteIdenticalToPlainRun) {
   const wf::Workflow w = abc_chain();
 
@@ -50,7 +56,8 @@ TEST(OptToolkit, IdentityLogIsByteIdenticalToPlainRun) {
 
   Toolkit logged;
   const auto env_l = logged.add_hpc("hpc", cluster::homogeneous_cluster(2, 8, gib(32)));
-  const CompositeReport rl = logged.run(w, env_l, wf::opt::RewriteLog(w));
+  const wf::opt::RewriteLog identity(w);
+  const CompositeReport rl = logged.run(w, env_l, with_log(identity));
   ASSERT_TRUE(rl.success) << rl.error;
 
   EXPECT_EQ(rl.makespan, rp.makespan);
@@ -66,7 +73,7 @@ TEST(OptToolkit, RejectsLogForDifferentWorkflow) {
   Toolkit tk;
   const auto env = tk.add_hpc("hpc", cluster::homogeneous_cluster(2, 8, gib(32)));
   // The log describes the 1-task optimized DAG, not the 3-task original.
-  EXPECT_THROW(tk.run(w, env, opt.log), std::invalid_argument);
+  EXPECT_THROW(tk.run(w, env, with_log(opt.log)), std::invalid_argument);
 }
 
 TEST(OptToolkit, FusedRunEmitsPerConstituentProvenance) {
@@ -75,7 +82,7 @@ TEST(OptToolkit, FusedRunEmitsPerConstituentProvenance) {
 
   Toolkit tk;
   const auto env = tk.add_hpc("hpc", cluster::homogeneous_cluster(2, 8, gib(32)));
-  const CompositeReport r = tk.run(opt.workflow, env, opt.log);
+  const CompositeReport r = tk.run(opt.workflow, env, with_log(opt.log));
   ASSERT_TRUE(r.success) << r.error;
   EXPECT_EQ(r.fused_tasks_run, 1u);
   EXPECT_EQ(r.constituents_completed, 3u);
@@ -122,7 +129,7 @@ TEST(OptToolkit, ConstituentBlameOnMidRunFailure) {
 
   const wf::Workflow w = abc_chain();
   const wf::opt::OptimizeResult opt = fuse_chain(w);
-  const CompositeReport r = tk.run(opt.workflow, env, opt.log);
+  const CompositeReport r = tk.run(opt.workflow, env, with_log(opt.log));
   ASSERT_TRUE(r.success) << r.error;
   ASSERT_GE(r.task_failures, 1u);
   EXPECT_GE(r.constituent_failures, 1u);
@@ -168,7 +175,7 @@ TEST(OptToolkit, ChaoticFusedRunIsBitReproducible) {
     tk.attach_chaos(&chaos);
     const wf::Workflow w = abc_chain();
     const wf::opt::OptimizeResult opt = fuse_chain(w);
-    const CompositeReport r = tk.run(opt.workflow, env, opt.log);
+    const CompositeReport r = tk.run(opt.workflow, env, with_log(opt.log));
     ASSERT_TRUE(r.success) << r.error;
     *provenance_csv = tk.provenance().csv();
     *path = fx::path_csv(fx::critical_path(tk.ledger()));

@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 
 #include "core/toolkit.hpp"
 #include "cws/strategies.hpp"
@@ -29,6 +30,13 @@ struct StrategyShapeCase {
   std::string shape;
   std::uint64_t seed;
 };
+
+// Without a PrintTo gtest prints a param as its raw bytes, and ctest bakes
+// that dump into the test name: a std::string field puts a heap pointer
+// there, so the name would differ from build to build.
+void PrintTo(const StrategyShapeCase& c, std::ostream* os) {
+  *os << '{' << c.strategy << ", " << c.shape << ", seed " << c.seed << '}';
+}
 
 std::string case_name(const ::testing::TestParamInfo<StrategyShapeCase>& info) {
   std::string s = info.param.strategy + "_" + info.param.shape + "_" +
@@ -151,10 +159,12 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, StrategyDeterminism,
 // Sweep 3: EnTK capacity and accounting invariants across pilot shapes.
 // ---------------------------------------------------------------------------
 
+// Printed as raw bytes (see StrategyShapeCase): every field is 8 bytes wide,
+// so the struct has no padding whose stale contents could reach the name.
 struct PilotCase {
   std::size_t nodes;
   std::size_t tasks;
-  int nodes_per_task;
+  std::size_t nodes_per_task;
 };
 
 class EntkInvariants : public ::testing::TestWithParam<PilotCase> {};
@@ -230,6 +240,11 @@ struct ShapeChaosCase {
   std::uint64_t seed;
   bool chaotic;
 };
+
+void PrintTo(const ShapeChaosCase& c, std::ostream* os) {
+  *os << '{' << c.shape << ", seed " << c.seed << ", "
+      << (c.chaotic ? "chaotic" : "calm") << '}';
+}
 
 class ForensicsClosure : public ::testing::TestWithParam<ShapeChaosCase> {};
 
