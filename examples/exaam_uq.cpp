@@ -8,8 +8,13 @@
 // open it in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
 //   $ ./exaam_uq [pilot_nodes] [exaconstit_tasks]
-#include <cstdlib>
+//
+// Both arguments must be positive integers; anything else prints the usage
+// line and exits with status 2.
+#include <charconv>
+#include <cstring>
 #include <iostream>
+#include <optional>
 
 #include "entk/app_manager.hpp"
 #include "entk/exaam.hpp"
@@ -20,14 +25,36 @@
 
 using namespace hhc;
 
+namespace {
+
+/// argv[i] as a positive integer, `fallback` when it is absent, nullopt when
+/// it is not a whole positive number.
+std::optional<std::size_t> positive_arg(int argc, char** argv, int i,
+                                        std::size_t fallback) {
+  if (argc <= i) return fallback;
+  const char* first = argv[i];
+  const char* last = first + std::strlen(first);
+  std::size_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last || value == 0) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t pilot_nodes =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 400;
+  const auto nodes_arg = positive_arg(argc, argv, 1, 400);
+  const auto tasks_arg = positive_arg(argc, argv, 2, 300);
+  if (!nodes_arg || !tasks_arg) {
+    std::cerr << "usage: " << argv[0]
+              << " [pilot_nodes] [exaconstit_tasks]  (positive integers)\n";
+    return 2;
+  }
+  const std::size_t pilot_nodes = *nodes_arg;
   entk::ExaamScale scale;
   scale.meltpool_cases = 20;
   scale.microstructure_cases = 60;
-  scale.exaconstit_tasks =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 300;
+  scale.exaconstit_tasks = *tasks_arg;
 
   std::cout << "ExaAM UQ pipeline on a " << pilot_nodes
             << "-node Frontier-like pilot\n";

@@ -107,6 +107,7 @@ void Cluster::claim(const Allocation& alloc) {
 }
 
 void Cluster::release(const Allocation& alloc) {
+  ++capacity_generation_;
   for (const auto& c : alloc.claims) {
     Node& n = nodes_.at(c.node);
     if (!n.up) continue;  // capacity was already reset by set_node_down/up
@@ -129,6 +130,7 @@ void Cluster::set_node_down(NodeId id) {
 
 void Cluster::set_node_up(NodeId id) {
   Node& n = nodes_.at(id);
+  ++capacity_generation_;
   const auto& cls = spec_.classes[n.class_index];
   n.up = true;
   set_free_cores(n, cls.cores);

@@ -125,6 +125,12 @@ class Cluster {
   /// Marks a node back up with full free capacity (jobs on it must be gone).
   void set_node_up(NodeId id);
 
+  /// Bumped by every release and set_node_up: the calls that can grow a
+  /// node's free capacity. claim and set_node_down only shrink it, so a
+  /// request that found no allocation at generation g still finds none
+  /// while the generation stays g.
+  std::uint64_t capacity_generation() const noexcept { return capacity_generation_; }
+
   /// Node speed for runtime scaling.
   double node_speed(NodeId id) const { return node_class(id).cpu_speed; }
 
@@ -152,6 +158,7 @@ class Cluster {
 
   ClusterSpec spec_;
   std::vector<Node> nodes_;
+  std::uint64_t capacity_generation_ = 0;
   /// Empty until the first find_allocation*; mutable because that const call
   /// builds it, so a Cluster must not be probed from two threads at once.
   mutable FreeIndex by_free_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/observer.hpp"
+#include "obs/prof/prof.hpp"
 #include "support/log.hpp"
 
 namespace hhc::cluster {
@@ -22,13 +23,13 @@ const char* to_string(JobState s) noexcept {
 
 SimTime SchedulingContext::now() const { return rm_.sim_.now(); }
 const Cluster& SchedulingContext::cluster() const { return rm_.cluster_; }
-const std::vector<JobId>& SchedulingContext::queue() const { return rm_.queue_; }
+const std::vector<JobId>& SchedulingContext::queue() const {
+  return rm_.compacted_queue();
+}
 const JobRecord& SchedulingContext::job(JobId id) const { return rm_.job(id); }
 std::vector<JobId> SchedulingContext::running() const { return rm_.running_; }
 
-bool SchedulingContext::try_place(JobId id) {
-  return rm_.place(id, [](NodeId) { return true; });
-}
+bool SchedulingContext::try_place(JobId id) { return rm_.place(id, {}); }
 
 bool SchedulingContext::try_place_if(JobId id,
                                      const std::function<bool(NodeId)>& pred) {
@@ -97,18 +98,28 @@ JobId ResourceManager::submit(JobRequest request, CompletionCallback on_complete
   if (obs_ && obs_->on()) {
     obs_->count(sim_.now(), counter(ctr_submitted_, "rm.jobs_submitted", obs_label_));
     obs_->gauge_set(sim_.now(), gauge(g_queue_depth_, "rm.queue_depth"),
-                    static_cast<double>(queue_.size()));
+                    static_cast<double>(queued_count()));
   }
   kick();
   return id;
 }
 
 bool ResourceManager::cancel(JobId id) {
-  auto it = std::find(queue_.begin(), queue_.end(), id);
-  if (it == queue_.end()) return false;
-  queue_.erase(it);
-  complete(jobs_[id - 1], JobState::Cancelled, "cancelled by client");
+  JobRecord* rec = find_job(id);
+  if (!rec || rec->state != JobState::Queued) return false;
+  ++stale_queue_entries_;
+  complete(*rec, JobState::Cancelled, "cancelled by client");
   return true;
+}
+
+const std::vector<JobId>& ResourceManager::compacted_queue() {
+  if (stale_queue_entries_ > 0) {
+    std::erase_if(queue_, [this](JobId id) {
+      return jobs_[id - 1].state != JobState::Queued;
+    });
+    stale_queue_entries_ = 0;
+  }
+  return queue_;
 }
 
 void ResourceManager::kick() {
@@ -121,14 +132,15 @@ void ResourceManager::kick() {
 }
 
 void ResourceManager::run_scheduler_pass() {
-  if (queue_.empty()) return;
+  if (queued_count() == 0) return;
+  HHC_PROF_SCOPE("cluster.sched_pass");
   in_pass_ = true;
   SchedulingContext ctx(*this);
   if (obs_ && obs_->on()) {
     // Per-pass decision latency in real (wall-clock) microseconds: scheduler
     // strategies run inside the hot path of every sweep, so their cost is a
     // genuine performance metric, not simulated time.
-    const std::size_t before = queue_.size();
+    const std::size_t before = queued_count();
     const auto wall0 = std::chrono::steady_clock::now();
     scheduler_->schedule(ctx);
     const auto wall1 = std::chrono::steady_clock::now();
@@ -142,10 +154,10 @@ void ResourceManager::run_scheduler_pass() {
     }
     obs_->count(sim_.now(), ctr_sched_passes_);
     obs_->count(sim_.now(), ctr_sched_placed_,
-                static_cast<double>(before - queue_.size()));
+                static_cast<double>(before - queued_count()));
     h_sched_pass_us_->observe(us);
     obs_->gauge_set(sim_.now(), gauge(g_queue_depth_, "rm.queue_depth"),
-                    static_cast<double>(queue_.size()));
+                    static_cast<double>(queued_count()));
   } else {
     scheduler_->schedule(ctx);
   }
@@ -153,15 +165,42 @@ void ResourceManager::run_scheduler_pass() {
 }
 
 bool ResourceManager::place(JobId id, const std::function<bool(NodeId)>& pred) {
-  // A job is in queue_ exactly while it is Queued: place, cancel and kill
-  // take it out of both together.
+  // Only a Queued job has a live queue_ entry; placing it makes that entry
+  // stale.
   JobRecord* rec = find_job(id);
   if (!rec || rec->state != JobState::Queued) return false;
-  auto alloc = cluster_.find_allocation_if(rec->request.resources, pred);
-  if (!alloc) return false;
-  queue_.erase(std::find(queue_.begin(), queue_.end(), id));
+  const wf::Resources& req = rec->request.resources;
+  if (!pred && known_not_to_fit(req)) return false;
+  HHC_PROF_COUNT("cluster.place_probes", 1);
+  auto alloc = pred ? cluster_.find_allocation_if(req, pred)
+                    : cluster_.find_allocation(req);
+  if (!alloc) {
+    if (!pred) failed_shapes_.push_back(req);
+    return false;
+  }
+  ++stale_queue_entries_;
   start_job(*rec, std::move(*alloc));
   return true;
+}
+
+bool ResourceManager::known_not_to_fit(const wf::Resources& req) {
+  if (failed_generation_ != cluster_.capacity_generation()) {
+    failed_generation_ = cluster_.capacity_generation();
+    failed_shapes_.clear();
+    return false;
+  }
+  // Free capacity has only shrunk since each shape failed, and a node that
+  // cannot hold the smaller request cannot hold the larger one. Node counts
+  // compare as find_allocation_if reads them: a negative count wraps to a
+  // size no cluster has.
+  const auto nodes = static_cast<std::size_t>(req.nodes);
+  return std::any_of(
+      failed_shapes_.begin(), failed_shapes_.end(), [&](const wf::Resources& f) {
+        return nodes >= static_cast<std::size_t>(f.nodes) &&
+               req.cores_per_node >= f.cores_per_node &&
+               req.gpus_per_node >= f.gpus_per_node &&
+               req.memory_per_node >= f.memory_per_node;
+      });
 }
 
 SimTime ResourceManager::compute_duration(const JobRecord& rec) const {
@@ -197,6 +236,7 @@ void ResourceManager::start_job(JobRecord& rec, Allocation alloc) {
   if (auto sit = start_callbacks_.find(id); sit != start_callbacks_.end()) {
     auto cb = std::move(sit->second);
     start_callbacks_.erase(sit);
+    HHC_PROF_SCOPE("cluster.start_callback");
     cb(rec);
   }
 }
@@ -243,7 +283,7 @@ bool ResourceManager::kill(JobId id, const std::string& reason) {
   if (!found) return false;
   JobRecord& rec = *found;
   if (rec.state == JobState::Queued) {
-    queue_.erase(std::find(queue_.begin(), queue_.end(), id));
+    ++stale_queue_entries_;
     complete(rec, JobState::Cancelled, reason);
     return true;
   }

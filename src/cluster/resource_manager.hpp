@@ -76,17 +76,24 @@ class SchedulingContext {
 
   SimTime now() const;
   const Cluster& cluster() const;
-  /// Queued job ids in submission order.
+  /// Queued job ids in submission order. Placing or cancelling a job leaves
+  /// the vector as it is until the next queue() call (the job just stops
+  /// being Queued), and jobs submitted meanwhile are appended, so a
+  /// scheduler may walk it by index while it places jobs.
   const std::vector<JobId>& queue() const;
   const JobRecord& job(JobId id) const;
   /// Running job ids (for backfill shadow computation).
   std::vector<JobId> running() const;
 
   /// Attempts to place the job anywhere it fits. Returns true on success
-  /// (the job leaves the queue immediately).
+  /// (the job leaves the queue immediately). Fails without probing the
+  /// cluster when a request needing no more in any dimension already failed
+  /// and no capacity has been freed since (the pass memo, DESIGN.md §3).
   bool try_place(JobId id);
 
-  /// Attempts to place the job on nodes satisfying `pred`.
+  /// Attempts to place the job on nodes satisfying `pred` (an empty `pred`
+  /// places like try_place). Always probes: a filtered failure says nothing
+  /// about other requests.
   bool try_place_if(JobId id, const std::function<bool(NodeId)>& pred);
 
  private:
@@ -137,7 +144,9 @@ class ResourceManager {
   bool kill(JobId id, const std::string& reason = "killed by client");
 
   const JobRecord& job(JobId id) const { return jobs_.at(id - 1); }
-  std::size_t queued_count() const noexcept { return queue_.size(); }
+  std::size_t queued_count() const noexcept {
+    return queue_.size() - stale_queue_entries_;
+  }
   std::size_t running_count() const noexcept { return running_.size(); }
 
   /// Takes a node down now; jobs running on it fail. If repair_after > 0 the
@@ -171,7 +180,15 @@ class ResourceManager {
   friend class SchedulingContext;
 
   JobRecord* find_job(JobId id);
+  /// queue_ with the entries of jobs that left the Queued state removed.
+  const std::vector<JobId>& compacted_queue();
+  /// Places on nodes passing `pred`; an empty `pred` is the unfiltered,
+  /// memoized probe.
   bool place(JobId id, const std::function<bool(NodeId)>& pred);
+  /// True when an unfiltered probe for `req` must fail: an earlier one failed
+  /// for a request no larger in every dimension at the current capacity
+  /// generation. Clears the memo when the generation moved on.
+  bool known_not_to_fit(const wf::Resources& req);
   void start_job(JobRecord& rec, Allocation alloc);
   void finish_job(JobId id);
   void fail_running_job(JobId id, const std::string& reason);
@@ -195,7 +212,15 @@ class ResourceManager {
   std::deque<JobRecord> jobs_;
   std::map<JobId, CompletionCallback> callbacks_;
   std::map<JobId, StartCallback> start_callbacks_;
-  std::vector<JobId> queue_;            ///< Submission order.
+  /// Submission order. Jobs leave it lazily: place, cancel and kill only
+  /// count a stale entry, and compacted_queue() drops them all at once.
+  std::vector<JobId> queue_;
+  std::size_t stale_queue_entries_ = 0;
+  /// The pass memo: request shapes whose unfiltered probe failed at cluster
+  /// capacity generation failed_generation_. Kept as a member so its
+  /// capacity is reused from pass to pass.
+  std::vector<wf::Resources> failed_shapes_;
+  std::uint64_t failed_generation_ = 0;
   std::map<JobId, sim::EventHandle> completion_events_;
   std::vector<JobId> running_;
   JobId next_id_ = 1;

@@ -13,9 +13,11 @@ void FifoScheduler::schedule(SchedulingContext& ctx) {
 }
 
 void FifoFitScheduler::schedule(SchedulingContext& ctx) {
-  // try_place mutates the queue, so walk over a snapshot.
-  const std::vector<JobId> snapshot = ctx.queue();
-  for (JobId id : snapshot) ctx.try_place(id);
+  // Placing keeps queue entries where they are, so walk the queue by index;
+  // jobs a start callback submits land past `n` and wait for the next pass.
+  const std::vector<JobId>& queue = ctx.queue();
+  const std::size_t n = queue.size();
+  for (std::size_t i = 0; i < n; ++i) ctx.try_place(queue[i]);
 }
 
 void BackfillScheduler::schedule(SchedulingContext& ctx) {
@@ -54,12 +56,13 @@ void BackfillScheduler::schedule(SchedulingContext& ctx) {
 
   // Backfill: any queued job whose estimate ends before the shadow time may
   // start now. Jobs without estimates are treated conservatively (skip).
-  const std::vector<JobId> snapshot = ctx.queue();
-  for (std::size_t i = 1; i < snapshot.size(); ++i) {
-    const JobRecord& r = ctx.job(snapshot[i]);
+  const std::vector<JobId>& queue = ctx.queue();
+  const std::size_t n = queue.size();
+  for (std::size_t i = 1; i < n; ++i) {
+    const JobRecord& r = ctx.job(queue[i]);
     const SimTime est = r.request.walltime_estimate;
     if (est <= 0.0) continue;
-    if (ctx.now() + est <= shadow) ctx.try_place(snapshot[i]);
+    if (ctx.now() + est <= shadow) ctx.try_place(queue[i]);
   }
 }
 

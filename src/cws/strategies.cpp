@@ -13,7 +13,7 @@ namespace hhc::cws {
 
 void CwsSchedulerBase::schedule(cluster::SchedulingContext& ctx) {
   // Stable sort by descending priority; ties keep submission order.
-  std::vector<cluster::JobId> order = ctx.queue();
+  const std::vector<cluster::JobId>& order = ctx.queue();
   std::vector<std::pair<double, cluster::JobId>> keyed;
   keyed.reserve(order.size());
   for (cluster::JobId id : order) keyed.emplace_back(priority(ctx, ctx.job(id)), id);

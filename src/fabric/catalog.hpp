@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "support/units.hpp"
@@ -34,7 +34,9 @@ struct DatasetInfo {
 };
 
 /// Replica catalog. Deterministic: replica sets are kept sorted so source
-/// selection never depends on insertion order.
+/// selection never depends on insertion order, and the datasets are hashed
+/// by id with no call exposing their order (resident_bytes and
+/// drop_location only sum and count).
 class DataCatalog {
  public:
   /// Registers a dataset (idempotent). Re-registering with a different size
@@ -73,7 +75,7 @@ class DataCatalog {
   void clear() noexcept { datasets_.clear(); }
 
  private:
-  std::map<DatasetId, DatasetInfo> datasets_;
+  std::unordered_map<DatasetId, DatasetInfo> datasets_;
 };
 
 }  // namespace hhc::fabric
